@@ -13,7 +13,9 @@ test:
 # the shuffle seed is echoed by the test binary on failure, rerun with
 # go test -shuffle=<seed>), the race detector over every package (rank
 # bodies execute truly concurrently when the parallel engine is on, so
-# all of them must be race-clean), the fixed-seed determinism smoke
+# all of them must be race-clean), vet and tests of the nested
+# perfbench module (it compiles against the measurement API but sits
+# outside the root module's ./...), the fixed-seed determinism smoke
 # proving the parallel engine bit-identical to the sequential one, and
 # fixed-seed chaos sweeps — one per engine mode, plus one under the
 # race detector.
@@ -23,6 +25,7 @@ verify:
 	go test -shuffle=on ./...
 	$(MAKE) lint
 	go test -race ./...
+	cd perfbench && go vet ./... && go test ./...
 	go test -run TestParallelEquivalenceSmoke ./internal/exchange/
 	go run ./cmd/chaos -seeds 8
 	go run ./cmd/chaos -seeds 8 -parallel

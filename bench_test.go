@@ -206,7 +206,9 @@ func BenchmarkAblationPipeline(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var t float64
 			for i := 0; i < b.N; i++ {
-				t = exchange.CompressedExchangeTime(cfg, compress.Cast32{}, 8, 20000, 1, pipelined)
+				res, _, _ := exchange.Run(exchange.Job{Machine: cfg, MsgBytes: 8 * 20000, Iters: 1,
+					Spec: exchange.Spec{Algo: exchange.AlgoOSCComp, Chunks: 8, DisablePipeline: !pipelined}})
+				t = res.Seconds
 			}
 			b.ReportMetric(t*1e3, "ms/exchange")
 		})

@@ -19,68 +19,45 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 	"strings"
 
+	"repro/cmd/internal/driver"
 	"repro/internal/compress"
 	"repro/internal/core"
 	"repro/internal/exchange"
 	"repro/internal/mpi"
 	"repro/internal/netsim"
-	"repro/internal/obs"
-	"repro/internal/obs/telemetry"
 )
 
-// recording carries the -trace/-metrics state: each ablation run may
-// grab a fresh recorder, and the last one is exported at exit.
-type recording struct {
-	on       bool
-	lastRec  *obs.Recorder
-	lastCell string
+// d holds the shared flags and the per-run recorders.
+var d = driver.New("ablation", nil)
+
+// forwardTime measures the virtual time of one forward 64³ transform
+// (timed as 512³) over two iterations.
+func forwardTime(cell string, cfg netsim.Config, opts core.Options) float64 {
+	opts.SimScale = 8
+	res, _, _ := core.Run[complex128](core.Job{Machine: cfg, N: [3]int{64, 64, 64}, Options: opts, Iters: 2,
+		Recorder: d.Recorder(cell, cell)})
+	return res.ForwardTime
 }
 
-var rec recording
-
-// tel is the live-telemetry session of the -serve/-eventlog/-slo flags
-// (nil-safe when they are all off).
-var tel *telemetry.Session
-
-func (r *recording) grab(cell string) *obs.Recorder {
-	if !r.on && !tel.Enabled() {
-		return nil
-	}
-	c := obs.New(obs.Options{Trace: r.on, Metrics: true})
-	tel.StartRun(cell)
-	tel.Attach(c)
-	if r.on {
-		r.lastRec, r.lastCell = c, cell
-	}
-	return c
+// exchangeRun measures spec's exchange of msg bytes per pair.
+func exchangeRun(cell string, cfg netsim.Config, spec exchange.Spec, msg int) exchange.Result {
+	res, _, _ := exchange.Run(exchange.Job{Machine: cfg, Spec: spec, MsgBytes: msg, Iters: 2,
+		Recorder: d.Recorder(cell, cell)})
+	return res
 }
 
 func main() {
 	which := flag.String("which", "all", "comma list: window,permute,pipeline,chunks,flush,eager,transport,reshapes")
-	gpus := flag.Int("gpus", 96, "GPU count (multiple of 6)")
+	d.GPUCountFlag("96")
 	msg := flag.Int("msg", 80*1024, "message size per pair for exchange ablations")
-	traceFlag := flag.String("trace", "", "write a Chrome-trace JSON of the last measured run to this file")
-	metricsFlag := flag.Bool("metrics", false, "print the metrics report of the last measured run")
-	tf := telemetry.RegisterFlags(nil)
-	flag.Parse()
+	d.ObsFlags("write a Chrome-trace JSON of the last measured run to this file",
+		"print the metrics report of the last measured run")
+	d.OnDemand = true
+	d.Parse()
 
-	var err error
-	if tel, err = tf.Start(); err != nil {
-		fmt.Fprintln(os.Stderr, "ablation:", err)
-		os.Exit(1)
-	}
-	if tel.Enabled() && tel.Addr() != "" {
-		fmt.Printf("# telemetry: serving http://%s\n", tel.Addr())
-	}
-	if *gpus%6 != 0 {
-		fmt.Fprintln(os.Stderr, "ablation: -gpus must be a multiple of 6")
-		os.Exit(1)
-	}
-	rec.on = *traceFlag != "" || *metricsFlag
-	cfg := netsim.Summit(*gpus / 6)
+	cfg := d.Machine(d.GPUs[0])
 	want := map[string]bool{}
 	for _, w := range strings.Split(*which, ",") {
 		want[strings.TrimSpace(w)] = true
@@ -111,48 +88,18 @@ func main() {
 	if all || want["reshapes"] {
 		ablateReshapes(cfg)
 	}
-
-	if *metricsFlag && rec.lastRec != nil {
-		fmt.Printf("\n# metrics report — %s\n", rec.lastCell)
-		rec.lastRec.WriteReport(os.Stdout)
-	}
-	if *traceFlag != "" && rec.lastRec != nil {
-		f, err := os.Create(*traceFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ablation:", err)
-			os.Exit(1)
-		}
-		if err := rec.lastRec.WriteChromeTrace(f); err == nil {
-			err = f.Close()
-		} else {
-			f.Close()
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ablation:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("# trace written: %s (%s)\n", *traceFlag, rec.lastCell)
-	}
-	if tel.Enabled() {
-		fmt.Println(tel.Summary())
-		if err := tel.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "ablation: telemetry:", err)
-			os.Exit(1)
-		}
-	}
+	d.Finish(nil)
+	d.Close()
 }
 
 // ablateTransport separates the two contributions: compression over the
 // one-sided pipelined transport vs the same compression over the
 // classical two-sided all-to-all.
 func ablateTransport(cfg netsim.Config) {
-	n := [3]int{64, 64, 64}
-	osc := core.MeasureWith[complex128](rec.grab("transport/one-sided"), cfg, n, core.Options{
-		Backend: core.BackendCompressed, Method: compress.Cast32{}, SimScale: 8,
-	}, 2, false).ForwardTime
-	two := core.MeasureWith[complex128](rec.grab("transport/two-sided"), cfg, n, core.Options{
-		Backend: core.BackendCompressedTwoSided, Method: compress.Cast32{}, SimScale: 8,
-	}, 2, false).ForwardTime
+	osc := forwardTime("transport/one-sided", cfg,
+		core.Options{Backend: core.BackendCompressed, Method: compress.Cast32{}})
+	two := forwardTime("transport/two-sided", cfg,
+		core.Options{Backend: core.BackendCompressedTwoSided, Method: compress.Cast32{}})
 	fmt.Printf("# transport (FP64→FP32 compression on both): one-sided %.2f ms vs two-sided %.2f ms (%.2fx)\n",
 		osc*1e3, two*1e3, two/osc)
 }
@@ -160,13 +107,8 @@ func ablateTransport(cfg netsim.Config) {
 // ablateReshapes quantifies the four- vs two-reshape configurations
 // (brick vs pencil input/output).
 func ablateReshapes(cfg netsim.Config) {
-	n := [3]int{64, 64, 64}
-	brick := core.MeasureWith[complex128](rec.grab("reshapes/brick"), cfg, n, core.Options{
-		Backend: core.BackendAlltoallv, SimScale: 8,
-	}, 2, false).ForwardTime
-	pencil := core.MeasureWith[complex128](rec.grab("reshapes/pencil"), cfg, n, core.Options{
-		Backend: core.BackendAlltoallv, SimScale: 8, PencilIO: true,
-	}, 2, false).ForwardTime
+	brick := forwardTime("reshapes/brick", cfg, core.Options{Backend: core.BackendAlltoallv})
+	pencil := forwardTime("reshapes/pencil", cfg, core.Options{Backend: core.BackendAlltoallv, PencilIO: true})
 	fmt.Printf("# reshape count: brick I/O (4 reshapes) %.2f ms vs pencil I/O (2 reshapes) %.2f ms (%.2fx)\n",
 		brick*1e3, pencil*1e3, brick/pencil)
 }
@@ -175,7 +117,7 @@ func ablateWindow(cfg netsim.Config) {
 	const iters = 8
 	timed := func(cached bool, cell string) float64 {
 		var t float64
-		mpi.RunWith(cfg, rec.grab(cell), func(c *mpi.Comm) {
+		mpi.RunWith(cfg, d.Recorder(cell, cell), func(c *mpi.Comm) {
 			c.Barrier()
 			start := c.Now()
 			var win *mpi.Win
@@ -198,20 +140,17 @@ func ablateWindow(cfg netsim.Config) {
 }
 
 func ablatePermute(cfg netsim.Config, msg int) {
-	aware := exchange.NodeBandwidthWith(rec.grab("permute/node-aware"), cfg, exchange.AlgoOSC, msg, 2)
-	naive := exchange.NodeBandwidthWith(rec.grab("permute/naive"), cfg, exchange.AlgoOSCNaive, msg, 2)
+	aware := exchangeRun("permute/node-aware", cfg, exchange.Spec{Algo: exchange.AlgoOSC}, msg).NodeBW
+	naive := exchangeRun("permute/naive", cfg, exchange.Spec{Algo: exchange.AlgoOSCNaive}, msg).NodeBW
 	fmt.Printf("# node-aware permutation: ring %.2f GB/s vs naive %.2f GB/s (%.2fx)\n",
 		aware/1e9, naive/1e9, aware/naive)
 }
 
 func ablatePipeline(cfg netsim.Config) {
-	n := [3]int{64, 64, 64}
-	on := core.MeasureWith[complex128](rec.grab("pipeline/overlapped"), cfg, n, core.Options{
-		Backend: core.BackendCompressed, Method: compress.Cast32{}, SimScale: 8,
-	}, 2, false).ForwardTime
-	off := core.MeasureWith[complex128](rec.grab("pipeline/synchronous"), cfg, n, core.Options{
-		Backend: core.BackendCompressed, Method: compress.Cast32{}, SimScale: 8, DisablePipeline: true,
-	}, 2, false).ForwardTime
+	on := forwardTime("pipeline/overlapped", cfg,
+		core.Options{Backend: core.BackendCompressed, Method: compress.Cast32{}})
+	off := forwardTime("pipeline/synchronous", cfg,
+		core.Options{Backend: core.BackendCompressed, Method: compress.Cast32{}, DisablePipeline: true})
 	fmt.Printf("# §V-B pipeline: overlapped %.2f ms vs synchronous %.2f ms per transform (%.2fx)\n",
 		on*1e3, off*1e3, off/on)
 }
@@ -219,8 +158,8 @@ func ablatePipeline(cfg netsim.Config) {
 func ablateChunks(cfg netsim.Config) {
 	fmt.Println("# pipeline depth sweep (compressed exchange, 512^3-equivalent volume):")
 	for _, k := range []int{1, 2, 4, 8, 16} {
-		t := exchange.CompressedExchangeTimeWith(rec.grab(fmt.Sprintf("chunks/%d", k)),
-			cfg, compress.Cast32{}, k, 40000, 2, true)
+		t := exchangeRun(fmt.Sprintf("chunks/%d", k), cfg,
+			exchange.Spec{Algo: exchange.AlgoOSCComp, Chunks: k}, 8*40000).Seconds
 		fmt.Printf("#   chunks=%2d: %.3f ms\n", k, t*1e3)
 	}
 }
@@ -229,7 +168,7 @@ func ablateFlush(cfg netsim.Config, msg int) {
 	timed := func(flush int, cell string) float64 {
 		p := cfg.Ranks()
 		var start, end float64
-		mpi.RunWith(cfg, rec.grab(cell), func(c *mpi.Comm) {
+		mpi.RunWith(cfg, d.Recorder(cell, cell), func(c *mpi.Comm) {
 			o := exchange.NewOSCPhantom(c, exchange.Uniform(msg), true)
 			o.FlushEvery = flush
 			o.ExchangeN()
@@ -257,7 +196,8 @@ func ablateEager(cfg netsim.Config, msg int) {
 	p := cfg.Ranks()
 	for _, thr := range []int{1024, 8192, 65536, 1 << 20} {
 		var start, end float64
-		mpi.RunWith(cfg, rec.grab(fmt.Sprintf("eager/%d", thr)), func(c *mpi.Comm) {
+		cell := fmt.Sprintf("eager/%d", thr)
+		mpi.RunWith(cfg, d.Recorder(cell, cell), func(c *mpi.Comm) {
 			c.SetEagerThreshold(thr)
 			sizes := make([]int, p)
 			for i := range sizes {

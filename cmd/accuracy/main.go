@@ -20,154 +20,84 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
-	"strconv"
-	"strings"
 
+	"repro/cmd/internal/driver"
 	"repro/internal/compress"
 	"repro/internal/core"
+	"repro/internal/fft"
 	"repro/internal/netsim"
-	"repro/internal/obs"
-	"repro/internal/obs/telemetry"
 )
 
-// recording carries the -trace/-metrics state: every measurement gets a
-// fresh recorder, and the last one is exported after the tables.
-type recording struct {
-	on       bool
-	lastRec  *obs.Recorder
-	lastCell string
-}
+// d holds the shared flags and the per-cell recorders.
+var d = driver.New("accuracy", nil)
 
-var rec recording
-
-// tel is the live-telemetry session of the -serve/-eventlog/-slo flags
-// (nil-safe when they are all off).
-var tel *telemetry.Session
-
-// measure runs one cell with a recorder attached when recording or live
-// telemetry is on.
-func (r *recording) measure(cell string) *obs.Recorder {
-	if !r.on && !tel.Enabled() {
-		return nil
-	}
-	c := obs.New(obs.Options{Trace: r.on, Metrics: true})
-	tel.StartRun(cell)
-	tel.Attach(c)
-	if r.on {
-		r.lastRec, r.lastCell = c, cell
-	}
-	return c
+// measure runs one round-trip accuracy cell (no timed iterations).
+func measure[C fft.Complex](cell string, cfg netsim.Config, n [3]int, opts core.Options) core.Result {
+	res, _, _ := core.Run[C](core.Job{Machine: cfg, N: n, Options: opts, WantErr: true,
+		Recorder: d.Recorder(cell, cell)})
+	return res
 }
 
 func main() {
 	table2 := flag.Bool("table2", false, "reproduce Table II")
 	fig2 := flag.Bool("fig2", false, "reproduce Fig. 2")
 	nFlag := flag.Int("n", 64, "cubic problem size per dimension")
-	gpusFlag := flag.String("gpus", "12,24,48,96,192,384,768,1536", "GPU counts for -table2 (multiples of 6)")
+	d.GPUListFlag("12,24,48,96,192,384,768,1536", "GPU counts for -table2 (multiples of 6)")
 	fig2GPUs := flag.Int("fig2gpus", 12, "GPU count for the -fig2 sweep")
-	traceFlag := flag.String("trace", "", "write a Chrome-trace JSON of the last measured cell to this file")
-	metricsFlag := flag.Bool("metrics", false, "print the metrics report of the last measured cell")
-	tf := telemetry.RegisterFlags(nil)
-	flag.Parse()
+	d.ObsFlags("write a Chrome-trace JSON of the last measured cell to this file",
+		"print the metrics report of the last measured cell")
+	d.OnDemand = true
+	d.Parse()
 
-	var err error
-	if tel, err = tf.Start(); err != nil {
-		fmt.Fprintln(os.Stderr, "accuracy:", err)
-		os.Exit(1)
-	}
-	if tel.Enabled() && tel.Addr() != "" {
-		fmt.Printf("# telemetry: serving http://%s\n", tel.Addr())
-	}
 	if !*table2 && !*fig2 {
 		*table2, *fig2 = true, true
 	}
-	rec.on = *traceFlag != "" || *metricsFlag
-
 	n := [3]int{*nFlag, *nFlag, *nFlag}
 	if *table2 {
-		runTable2(n, *gpusFlag)
+		runTable2(n, d.GPUs)
 	}
 	if *fig2 {
 		runFig2(n, *fig2GPUs)
 	}
-
-	if *metricsFlag && rec.lastRec != nil {
-		fmt.Printf("\n# metrics report — %s\n", rec.lastCell)
-		rec.lastRec.WriteReport(os.Stdout)
-	}
-	if *traceFlag != "" && rec.lastRec != nil {
-		f, err := os.Create(*traceFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "accuracy:", err)
-			os.Exit(1)
-		}
-		if err := rec.lastRec.WriteChromeTrace(f); err == nil {
-			err = f.Close()
-		} else {
-			f.Close()
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "accuracy:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("# trace written: %s (%s)\n", *traceFlag, rec.lastCell)
-	}
-	if tel.Enabled() {
-		fmt.Println(tel.Summary())
-		if err := tel.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "accuracy: telemetry:", err)
-			os.Exit(1)
-		}
-	}
+	d.Finish(nil)
+	d.Close()
 }
 
-func runTable2(n [3]int, gpus string) {
+func runTable2(n [3]int, gpus []int) {
 	fmt.Printf("# Table II — relative FFT error ‖x − IFFT(FFT(x))‖/‖x‖, %d^3 problem\n", n[0])
 	fmt.Printf("%8s%14s%14s%14s\n", "GPUs", "FP64", "FP32", "FP64->FP32")
-	for _, gs := range strings.Split(gpus, ",") {
-		g, err := strconv.Atoi(strings.TrimSpace(gs))
-		if err != nil || g%6 != 0 {
-			fmt.Fprintf(os.Stderr, "accuracy: skipping invalid GPU count %q\n", gs)
-			continue
-		}
-		cfg := netsim.Summit(g / 6)
-		e64 := core.MeasureWith[complex128](rec.measure(fmt.Sprintf("fp64 @ %d GPUs", g)),
-			cfg, n, core.Options{Backend: core.BackendAlltoallv}, 0, true).RelErr
-		e32 := core.MeasureWith[complex64](rec.measure(fmt.Sprintf("fp32 @ %d GPUs", g)),
-			cfg, n, core.Options{Backend: core.BackendAlltoallv}, 0, true).RelErr
-		eMP := core.MeasureWith[complex128](rec.measure(fmt.Sprintf("fp64-32 @ %d GPUs", g)),
-			cfg, n, core.Options{
-				Backend: core.BackendCompressed, Method: compress.Cast32{},
-			}, 0, true).RelErr
+	for _, g := range gpus {
+		e64, e32, eMP := references(n, g)
 		fmt.Printf("%8d%14.2e%14.2e%14.2e\n", g, e64, e32, eMP)
 	}
 }
 
+// references measures the FP64, FP32 and FP64→FP32 round-trip errors.
+func references(n [3]int, g int) (e64, e32, eMP float64) {
+	cfg := d.Machine(g)
+	e64 = measure[complex128](fmt.Sprintf("fp64 @ %d GPUs", g), cfg, n,
+		core.Options{Backend: core.BackendAlltoallv}).RelErr
+	e32 = measure[complex64](fmt.Sprintf("fp32 @ %d GPUs", g), cfg, n,
+		core.Options{Backend: core.BackendAlltoallv}).RelErr
+	eMP = measure[complex128](fmt.Sprintf("fp64-32 @ %d GPUs", g), cfg, n,
+		core.Options{Backend: core.BackendCompressed, Method: compress.Cast32{}}).RelErr
+	return e64, e32, eMP
+}
+
 func runFig2(n [3]int, gpus int) {
 	if gpus%6 != 0 {
-		fmt.Fprintln(os.Stderr, "accuracy: -fig2gpus must be a multiple of 6")
-		os.Exit(1)
+		d.Fail(fmt.Errorf("-fig2gpus must be a multiple of 6"))
 	}
-	cfg := netsim.Summit(gpus / 6)
+	cfg := d.Machine(gpus)
 	fmt.Printf("\n# Fig. 2 — accuracy vs bits in the communicated values, %d^3 problem, %d GPUs\n", n[0], gpus)
 	fmt.Printf("# (bits = 1 sign + 11 exponent + M mantissa; theoretical speedup = 64/bits)\n")
 	fmt.Printf("%8s%10s%14s%14s\n", "bits", "mantissa", "rel.err", "speedup")
 	for m := 52; m >= 4; m -= 4 {
 		method := compress.Trim{M: uint(m)}
-		r := core.MeasureWith[complex128](rec.measure(fmt.Sprintf("trim-%d @ %d GPUs", m, gpus)),
-			cfg, n, core.Options{
-				Backend: core.BackendCompressed, Method: method,
-			}, 0, true)
+		r := measure[complex128](fmt.Sprintf("trim-%d @ %d GPUs", m, gpus), cfg, n,
+			core.Options{Backend: core.BackendCompressed, Method: method})
 		fmt.Printf("%8d%10d%14.2e%14.2f\n", method.BitsPerValue(), m, r.RelErr, 64/float64(method.BitsPerValue()))
 	}
-	e64 := core.MeasureWith[complex128](rec.measure(fmt.Sprintf("fp64 @ %d GPUs", gpus)),
-		cfg, n, core.Options{Backend: core.BackendAlltoallv}, 0, true).RelErr
-	e32 := core.MeasureWith[complex64](rec.measure(fmt.Sprintf("fp32 @ %d GPUs", gpus)),
-		cfg, n, core.Options{Backend: core.BackendAlltoallv}, 0, true).RelErr
-	eMP := core.MeasureWith[complex128](rec.measure(fmt.Sprintf("fp64-32 @ %d GPUs", gpus)),
-		cfg, n, core.Options{
-			Backend: core.BackendCompressed, Method: compress.Cast32{},
-		}, 0, true).RelErr
+	e64, e32, eMP := references(n, gpus)
 	fmt.Printf("# references: FP64 %.2e | FP32 (full pipeline) %.2e | MP 64/32 %.2e\n", e64, e32, eMP)
 }

@@ -17,17 +17,14 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
-	"strconv"
 	"strings"
 
+	"repro/cmd/internal/driver"
 	"repro/internal/exchange"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/obs/analyze"
-	"repro/internal/obs/telemetry"
 	"repro/internal/plot"
-	recov "repro/internal/recover"
 	"repro/internal/tune"
 )
 
@@ -55,76 +52,27 @@ func tuningRows(cell *tune.Cell, measured float64, m *obs.Metrics) []analyze.Tun
 	return out
 }
 
-// describeChoice formats one tuned stage for the console summary.
-func describeChoice(st tune.Choice) string {
-	s := st.Algo
-	if st.Method != "" {
-		s += "/" + st.Method
-	}
-	if st.Chunks > 0 && st.Algo == string(tune.CompressedOSC) {
-		s += fmt.Sprintf("/c%d", st.Chunks)
-	}
-	return s
-}
-
 func main() {
 	msg := flag.Int("msg", 80*1024, "message size per process pair in bytes")
 	iters := flag.Int("iters", 2, "measured iterations per point")
-	gpusFlag := flag.String("gpus", "6,12,24,48,96,192,384,768,1536", "comma-separated GPU counts (multiples of 6)")
 	algosFlag := flag.String("algos", "linear,osc", "algorithms: linear,pairwise,bruck,osc,osc-naive,osc-comp")
 	doPlot := flag.Bool("plot", false, "render the figure as an ASCII chart")
-	traceFlag := flag.String("trace", "", "write a Chrome-trace JSON of the last measured cell to this file")
-	metricsFlag := flag.Bool("metrics", false, "print the metrics report of the last measured cell")
-	jsonFlag := flag.String("json", "", "write the machine-readable bench artifact to this file")
-	faultsFlag := flag.Int64("faults", 0, "inject the seeded fault plan netsim.RandomPlan(seed); 0 disables (docs/ROBUSTNESS.md)")
-	recoverFlag := flag.Bool("recover", false, "run under the crash-recovery runtime: epoch checkpoints + rollback/respawn on crash verdicts (docs/ROBUSTNESS.md)")
-	shrinkFlag := flag.Bool("shrink", false, "with -recover: when a rank's respawn budget is exhausted, shrink onto the survivors instead of giving up (docs/ROBUSTNESS.md)")
-	parallelFlag := flag.Bool("parallel", false, "run the simulator's parallel engine (bit-identical results; docs/DETERMINISM.md)")
-	autotuneFlag := flag.Bool("autotune", false, "tune the exchange per machine and add a 'tuned' algorithm (docs/TUNING.md)")
-	tuneTolFlag := flag.Float64("tunetol", 1e-3, "error budget for the autotuner's compressed candidates")
-	tunePlanFlag := flag.String("tuneplan", "", "tune-plan file: written with -autotune, otherwise loaded and replayed")
-	tuneProbeFlag := flag.Int("tuneprobe", 2, "probe the best K predicted candidates with short simulation runs (0 = predictor only)")
-	tf := telemetry.RegisterFlags(nil)
-	flag.Parse()
+	d := driver.New("alltoallbench", nil)
+	d.GPUListFlag("6,12,24,48,96,192,384,768,1536", "comma-separated GPU counts (multiples of 6)")
+	d.ObsFlags("write a Chrome-trace JSON of the last measured cell to this file",
+		"print the metrics report of the last measured cell")
+	d.JSONFlag()
+	d.FaultFlags()
+	d.ParallelFlag("run the simulator's parallel engine (bit-identical results; docs/DETERMINISM.md)")
+	d.TuneFlags("tune the exchange per machine and add a 'tuned' algorithm (docs/TUNING.md)",
+		"error budget for the autotuner's compressed candidates")
+	d.Parse()
 
-	// -json artifacts embed the per-stage error-attribution ledger, so
-	// force the error tracker on for artifact runs even without -errtrack.
-	telCfg := tf.Config()
-	if *jsonFlag != "" {
-		telCfg.Tracker = true
-	}
-	tel, err := telemetry.Start(telCfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "alltoallbench:", err)
-		os.Exit(1)
-	}
-	if tel.Enabled() && tel.Addr() != "" {
-		fmt.Printf("# telemetry: serving http://%s\n", tel.Addr())
-	}
-
-	gpus, err := parseInts(*gpusFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "alltoallbench:", err)
-		os.Exit(1)
-	}
 	algos := strings.Split(*algosFlag, ",")
-	// Tuning modes: -autotune computes a plan (and saves it to -tuneplan
-	// when given); -tuneplan alone loads a saved plan and replays its
-	// decisions. Either adds the "tuned" column to the table.
-	var planIn, planOut *tune.Plan
-	if *tunePlanFlag != "" && !*autotuneFlag {
-		p, err := tune.Load(*tunePlanFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "alltoallbench:", err)
-			os.Exit(1)
-		}
-		planIn = p
-	}
-	if *autotuneFlag {
-		planOut = tune.NewPlan(*tuneTolFlag)
-	}
-	tuning := *autotuneFlag || planIn != nil
-	if tuning {
+	// -autotune computes a plan (and saves it to -tuneplan when given);
+	// -tuneplan alone replays a saved plan. Either adds the "tuned"
+	// column to the table.
+	if d.Tuning() {
 		algos = append(algos, "tuned")
 	}
 
@@ -139,123 +87,52 @@ func main() {
 	for i, a := range algos {
 		series[i].Name = a
 	}
-	// The artifact embeds trace analyses, so -json records like -trace.
-	recording := *traceFlag != "" || *jsonFlag != ""
 	artifact := &analyze.Artifact{
 		Tool: "alltoallbench",
 		Config: map[string]string{
-			"msg": fmt.Sprint(*msg), "iters": fmt.Sprint(*iters),
-			"gpus": *gpusFlag, "algos": *algosFlag,
+			"msg": fmt.Sprint(*msg), "iters": fmt.Sprint(*iters), "algos": *algosFlag,
 		},
 	}
-	if *faultsFlag != 0 {
-		artifact.Config["faults"] = fmt.Sprint(*faultsFlag)
-	}
-	if *recoverFlag {
-		artifact.Config["recover"] = "1"
-	}
-	if *shrinkFlag {
-		// Shrink provenance: rows of this artifact may have finished on a
-		// degraded (smaller) topology; benchdiff refuses to compare such
-		// rows against full-size baselines.
-		artifact.Config["shrink"] = "1"
-	}
-	if tuning {
-		artifact.Config["tunetol"] = fmt.Sprint(*tuneTolFlag)
-		if *autotuneFlag {
-			artifact.Config["autotune"] = "1"
-		}
-	}
+	d.Provenance(artifact.Config)
 	// recorders keeps the last measured cell's recorder per algorithm so
 	// achieved compression can be reported after the table.
 	recorders := make([]*obs.Recorder, len(algos))
-	var lastRec *obs.Recorder
-	var lastCell string
-	for _, g := range gpus {
-		if g%6 != 0 {
-			fmt.Fprintf(os.Stderr, "alltoallbench: skipping %d GPUs (not a multiple of 6)\n", g)
-			continue
-		}
-		machine := netsim.Summit(g / 6)
-		machine.Parallel = *parallelFlag
-		if *faultsFlag != 0 {
-			machine.Faults = netsim.RandomPlan(*faultsFlag)
-		}
-		// Resolve this machine's tuned cell: compute it (-autotune) or
-		// look it up in the loaded plan. The tuner strips the fault plan
-		// itself, so the cell is identical with or without -faults.
+	for _, g := range d.GPUs {
+		machine := d.Machine(g)
 		var tunedCell *tune.Cell
 		var tunedSpec exchange.Spec
-		if tuning {
-			if *autotuneFlag {
-				cell, terr := tune.Alltoall(machine, *msg,
-					tune.Space{Budget: *tuneTolFlag, ProbeTopK: *tuneProbeFlag})
-				if terr != nil {
-					fmt.Fprintln(os.Stderr, "alltoallbench:", terr)
-					os.Exit(1)
-				}
-				tunedCell = cell
-				if _, dup := planOut.Cell(cell.Machine, cell.Shape); !dup {
-					planOut.Cells = append(planOut.Cells, *cell)
-				}
-			} else {
-				cell, ok := planIn.Cell(tune.Fingerprint(machine), tune.AlltoallShape(*msg))
-				if !ok {
-					fmt.Fprintf(os.Stderr, "alltoallbench: %s holds no cell for this machine/shape (%d GPUs)\n", *tunePlanFlag, g)
-					os.Exit(1)
-				}
-				tunedCell = cell
-			}
-			sp, serr := tunedCell.BenchSpec()
-			if serr != nil {
-				fmt.Fprintln(os.Stderr, "alltoallbench:", serr)
-				os.Exit(1)
+		if d.Tuning() {
+			tunedCell = d.TunedCell(machine, tune.AlltoallShape(*msg),
+				func(m netsim.Config, sp tune.Space) (*tune.Cell, error) { return tune.Alltoall(m, *msg, sp) })
+			sp, err := tunedCell.BenchSpec()
+			if err != nil {
+				d.Fail(err)
 			}
 			tunedSpec = sp
-			fmt.Printf("# tuned @ %d GPUs: %s\n", g, describeChoice(tunedCell.Stages[0]))
+			fmt.Printf("# tuned @ %d GPUs: %s\n", g, driver.DescribeChoice(tunedCell.Stages[0]))
 		}
 		fmt.Printf("%8d", g)
 		labels = append(labels, fmt.Sprint(g))
 		for i, a := range algos {
-			rec := obs.New(obs.Options{Trace: recording, Metrics: true})
 			cell := fmt.Sprintf("%s/%dgpus", a, g)
-			tel.StartRun(cell)
-			tel.Attach(rec)
+			rec := d.Recorder(cell, fmt.Sprintf("%s @ %d GPUs", a, g))
 			spec := exchange.Spec{Algo: a}
 			if a == "tuned" {
 				spec = tunedSpec
 			}
-			var bw float64
-			if *recoverFlag {
-				var out recov.Outcome
-				var rerr error
-				bw, out, rerr = exchange.NodeBandwidthRecoverableSpec(rec, machine, spec, *msg, *iters,
-					recov.Policy{Seed: *faultsFlag, Shrink: *shrinkFlag})
-				if rerr != nil {
-					fmt.Fprintf(os.Stderr, "alltoallbench: %s: %v\n", cell, rerr)
-					os.Exit(1)
-				}
-				if len(out.Recoveries) > 0 {
-					fmt.Fprintf(os.Stderr, "# %s: recovered %d crash(es), MTTR %.3gs\n", cell, len(out.Recoveries), out.MTTRSeconds)
-				}
-				for _, sh := range out.Shrinks {
-					fmt.Fprintf(os.Stderr, "# %s: SHRUNK %d->%d ranks (lost %v) at t=%.3gs — degraded topology, not comparable to full-size rows\n",
-						cell, sh.FromSize, sh.ToSize, sh.Dead, sh.DetectT)
-				}
-			} else {
-				bw = exchange.NodeBandwidthSpec(rec, machine, spec, *msg, *iters)
-			}
+			res, out, err := exchange.Run(exchange.Job{Machine: machine, Spec: spec, MsgBytes: *msg, Iters: *iters,
+				Recorder: rec, Recovery: d.Policy()})
+			d.CheckRun(cell, out, err)
+			bw := res.NodeBW
 			recorders[i] = rec
-			lastRec = rec
-			lastCell = fmt.Sprintf("%s @ %d GPUs", a, g)
 			fmt.Printf("%14.2f", bw/1e9)
 			series[i].Values = append(series[i].Values, bw/1e9)
-			if *jsonFlag != "" {
+			if d.JSON != "" {
 				row := analyze.Row{
 					Name: a, GPUs: g, NodeBW: bw,
 					Compression: analyze.CompressionRows(rec.Metrics().CompressionStats()),
 					Faults:      analyze.FaultRowFrom(rec.Metrics()),
-					Errors:      analyze.ErrorRows(tel.Tracker(), cell),
+					Errors:      analyze.ErrorRows(d.Tel.Tracker(), cell),
 				}
 				if a == "tuned" && bw > 0 {
 					// Seconds per exchange, inverted back out of the
@@ -284,63 +161,10 @@ func main() {
 		}
 		fmt.Println()
 	}
-	if *metricsFlag && lastRec != nil {
-		fmt.Printf("\n# metrics report — %s\n", lastCell)
-		lastRec.WriteReport(os.Stdout)
-	}
-	if *traceFlag != "" && lastRec != nil {
-		f, err := os.Create(*traceFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "alltoallbench:", err)
-			os.Exit(1)
-		}
-		if err := lastRec.WriteChromeTrace(f); err == nil {
-			err = f.Close()
-		} else {
-			f.Close()
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "alltoallbench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("# trace written: %s (%s)\n", *traceFlag, lastCell)
-	}
-	if *jsonFlag != "" {
-		if err := artifact.WriteFile(*jsonFlag); err != nil {
-			fmt.Fprintln(os.Stderr, "alltoallbench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("# bench artifact written: %s (%d rows)\n", *jsonFlag, len(artifact.Rows))
-	}
-	if *autotuneFlag && *tunePlanFlag != "" {
-		if err := planOut.Save(*tunePlanFlag); err != nil {
-			fmt.Fprintln(os.Stderr, "alltoallbench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("# tune plan written: %s (%d cells)\n", *tunePlanFlag, len(planOut.Cells))
-	}
+	d.Finish(artifact)
 	if *doPlot {
 		fmt.Println()
 		fmt.Print(plot.Chart("node bandwidth (GB/s) vs GPUs", labels, series, 60, 14, false))
 	}
-	if tel.Enabled() {
-		fmt.Println(tel.Summary())
-		if err := tel.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "alltoallbench: telemetry:", err)
-			os.Exit(1)
-		}
-	}
-}
-
-func parseInts(s string) ([]int, error) {
-	parts := strings.Split(s, ",")
-	out := make([]int, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, fmt.Errorf("bad count %q", p)
-		}
-		out = append(out, v)
-	}
-	return out, nil
+	d.Close()
 }

@@ -42,13 +42,13 @@ import (
 	"sync"
 	"time"
 
+	"repro/cmd/internal/driver"
 	"repro/internal/compress"
 	"repro/internal/exchange"
 	"repro/internal/gpu"
 	"repro/internal/mpi"
 	"repro/internal/netsim"
 	"repro/internal/obs"
-	"repro/internal/obs/telemetry"
 	recov "repro/internal/recover"
 )
 
@@ -544,12 +544,12 @@ func main() {
 	workloadsFlag := flag.String("workloads", "linear,pairwise,osc,osc-comp,osc-comp16", "exchange workloads to sweep (also: recover-osc,recover-comp — crash-recovery cells; kill-osc,kill-comp — permanent-kill elastic-shrink cells)")
 	timeout := flag.Duration("timeout", 60*time.Second, "wall-clock hang guard per run")
 	verbose := flag.Bool("v", false, "print every cell, not just summaries and violations")
-	parallel := flag.Bool("parallel", false, "run the simulator's parallel engine (verdicts are bit-identical; docs/DETERMINISM.md)")
 	scrape := flag.String("scrape", "", "with -serve: self-scrape /metrics mid-sweep into this file")
-	tf := telemetry.RegisterFlags(nil)
+	d := driver.New("chaos", nil)
+	d.ParallelFlag("run the simulator's parallel engine (verdicts are bit-identical; docs/DETERMINISM.md)")
 	flag.Parse()
 
-	tel, err := tf.Start()
+	tel, err := d.Telemetry.Start()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
 		os.Exit(2)
@@ -590,11 +590,11 @@ func main() {
 			var out outcome
 			var detail string
 			if body, ok := workloads[name]; ok {
-				out, detail = runOne(seed, name, body, *timeout, *verbose, *parallel, rec)
+				out, detail = runOne(seed, name, body, *timeout, *verbose, d.Parallel, rec)
 			} else if body, ok := shrinkWorkloads[name]; ok {
 				out, detail = runShrinkOne(seed, name, body, *timeout, *verbose, rec)
 			} else {
-				out, detail = runRecoverOne(seed, name, recoveryWorkloads[name], *timeout, *verbose, *parallel, rec)
+				out, detail = runRecoverOne(seed, name, recoveryWorkloads[name], *timeout, *verbose, d.Parallel, rec)
 			}
 			if counts[name] == nil {
 				counts[name] = map[outcome]int{}

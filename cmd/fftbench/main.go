@@ -27,16 +27,14 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
-	"strconv"
 	"strings"
 
+	"repro/cmd/internal/driver"
 	"repro/internal/compress"
 	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/obs/analyze"
-	"repro/internal/obs/telemetry"
 	"repro/internal/plot"
 	recov "repro/internal/recover"
 	"repro/internal/tune"
@@ -58,25 +56,15 @@ func (c config) elemBytes() int {
 	return 16
 }
 
-func (c config) run(rec *obs.Recorder, cfg netsim.Config, n [3]int, iters, simScale int) core.Result {
-	opts := c.opts
-	opts.SimScale = simScale
+// run measures the configuration as one job (Options, precision and
+// SimScale filled in here).
+func (c config) run(job core.Job, simScale int) (core.Result, recov.Outcome, error) {
+	job.Options = c.opts
+	job.Options.SimScale = simScale
 	if c.fp32 {
-		return core.MeasureWith[complex64](rec, cfg, n, opts, iters, false)
+		return core.Run[complex64](job)
 	}
-	return core.MeasureWith[complex128](rec, cfg, n, opts, iters, false)
-}
-
-// runRecoverable is run under the crash-recovery runtime: the plan
-// checkpoints after every reshape and absorbs watchdog crash verdicts
-// by rolling back and respawning (docs/ROBUSTNESS.md).
-func (c config) runRecoverable(rec *obs.Recorder, cfg netsim.Config, n [3]int, iters, simScale int, pol recov.Policy) (core.Result, recov.Outcome, error) {
-	opts := c.opts
-	opts.SimScale = simScale
-	if c.fp32 {
-		return core.MeasureRecoverable[complex64](rec, cfg, n, opts, iters, false, pol)
-	}
-	return core.MeasureRecoverable[complex128](rec, cfg, n, opts, iters, false, pol)
+	return core.Run[complex128](job)
 }
 
 func configByName(name string) (config, bool) {
@@ -130,18 +118,6 @@ func tuningRows(cell *tune.Cell, rec *obs.Recorder) []analyze.TuningRow {
 	return out
 }
 
-// describeChoice formats one tuned stage for the console summary.
-func describeChoice(st tune.Choice) string {
-	s := st.Algo
-	if st.Method != "" {
-		s += "/" + st.Method
-	}
-	if st.Chunks > 0 && st.Algo == string(tune.CompressedOSC) {
-		s += fmt.Sprintf("/c%d", st.Chunks)
-	}
-	return s
-}
-
 // modelDeltas pairs the cost model's per-reshape prediction with the
 // measured exchange-time histograms of the run.
 func modelDeltas(rec *obs.Recorder, machine netsim.Config, n [3]int, c config, simScale int) []analyze.ModelDelta {
@@ -163,75 +139,40 @@ func modelDeltas(rec *obs.Recorder, machine netsim.Config, n [3]int, c config, s
 func main() {
 	nFlag := flag.Int("n", 128, "cubic data size per dimension")
 	simFlag := flag.Int("sim", 1024, "simulated problem size per dimension (time plane; must be a multiple of -n)")
-	gpusFlag := flag.String("gpus", "12,24,48,96,192,384,768,1536", "comma-separated GPU counts (multiples of 6)")
 	iters := flag.Int("iters", 1, "measured iterations per point")
 	configsFlag := flag.String("configs", "fp64,fp32,fp64-32,fp64-16", "configurations")
 	doPlot := flag.Bool("plot", false, "render the figure as an ASCII chart")
-	traceFlag := flag.String("trace", "", "write a Chrome-trace JSON of the last measured cell to this file")
-	metricsFlag := flag.Bool("metrics", false, "print the phase-breakdown/metrics report of the last measured cell")
-	jsonFlag := flag.String("json", "", "write the machine-readable bench artifact to this file")
-	faultsFlag := flag.Int64("faults", 0, "inject the seeded fault plan netsim.RandomPlan(seed); 0 disables (docs/ROBUSTNESS.md)")
-	recoverFlag := flag.Bool("recover", false, "run under the crash-recovery runtime: epoch checkpoints + rollback/respawn on crash verdicts (docs/ROBUSTNESS.md)")
-	shrinkFlag := flag.Bool("shrink", false, "with -recover: when a rank's respawn budget is exhausted, shrink onto the survivors instead of giving up (docs/ROBUSTNESS.md)")
-	parallelFlag := flag.Bool("parallel", false, "run the simulator's parallel engine (bit-identical results; docs/DETERMINISM.md)")
-	autotuneFlag := flag.Bool("autotune", false, "tune the exchange configuration per machine and add a 'tuned' config (docs/TUNING.md)")
-	tuneTolFlag := flag.Float64("tunetol", 1e-3, "per-stage error budget for the autotuner's compressed candidates")
-	tunePlanFlag := flag.String("tuneplan", "", "tune-plan file: written with -autotune, otherwise loaded and replayed")
-	tuneProbeFlag := flag.Int("tuneprobe", 2, "probe the best K predicted candidates with short simulation runs (0 = predictor only)")
-	tf := telemetry.RegisterFlags(nil)
-	flag.Parse()
-
-	// -json artifacts embed the per-stage error-attribution ledger, so
-	// force the error tracker on for artifact runs even without -errtrack.
-	telCfg := tf.Config()
-	if *jsonFlag != "" {
-		telCfg.Tracker = true
-	}
-	tel, err := telemetry.Start(telCfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fftbench:", err)
-		os.Exit(1)
-	}
-	if tel.Enabled() && tel.Addr() != "" {
-		fmt.Printf("# telemetry: serving http://%s\n", tel.Addr())
-	}
+	d := driver.New("fftbench", nil)
+	d.GPUListFlag("12,24,48,96,192,384,768,1536", "comma-separated GPU counts (multiples of 6)")
+	d.ObsFlags("write a Chrome-trace JSON of the last measured cell to this file",
+		"print the phase-breakdown/metrics report of the last measured cell")
+	d.JSONFlag()
+	d.FaultFlags()
+	d.ParallelFlag("run the simulator's parallel engine (bit-identical results; docs/DETERMINISM.md)")
+	d.TuneFlags("tune the exchange configuration per machine and add a 'tuned' config (docs/TUNING.md)",
+		"per-stage error budget for the autotuner's compressed candidates")
+	d.TraceNote = "# trace written: %s (%s) — open in chrome://tracing or ui.perfetto.dev\n"
+	d.Parse()
 
 	n := [3]int{*nFlag, *nFlag, *nFlag}
 	if *simFlag%*nFlag != 0 {
-		fmt.Fprintln(os.Stderr, "fftbench: -sim must be a multiple of -n")
-		os.Exit(1)
+		d.Fail(fmt.Errorf("-sim must be a multiple of -n"))
 	}
 	simScale := *simFlag / *nFlag
 	var configs []config
 	for _, name := range strings.Split(*configsFlag, ",") {
 		c, ok := configByName(strings.TrimSpace(name))
 		if !ok {
-			fmt.Fprintf(os.Stderr, "fftbench: unknown config %q\n", name)
-			os.Exit(1)
+			d.Fail(fmt.Errorf("unknown config %q", name))
 		}
 		configs = append(configs, c)
 	}
-	// Tuning modes: -autotune computes a plan (and saves it to -tuneplan
-	// when given); -tuneplan alone loads a saved plan and replays its
-	// decisions. Either adds the "tuned" configuration to the table.
-	var planIn, planOut *tune.Plan
-	if *tunePlanFlag != "" && !*autotuneFlag {
-		p, err := tune.Load(*tunePlanFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fftbench:", err)
-			os.Exit(1)
-		}
-		planIn = p
-	}
-	if *autotuneFlag {
-		planOut = tune.NewPlan(*tuneTolFlag)
-	}
-	tuning := *autotuneFlag || planIn != nil
-	if tuning {
+	// -autotune computes a plan (and saves it to -tuneplan when given);
+	// -tuneplan alone replays a saved plan. Either adds the "tuned"
+	// configuration to the table.
+	if d.Tuning() {
 		configs = append(configs, config{name: "tuned"})
 	}
-	// The artifact embeds trace analyses, so -json records like -trace.
-	recording := *traceFlag != "" || *jsonFlag != ""
 
 	fmt.Printf("# Fig. 4 — strong scaling, %d^3 simulated problem (%d^3 data)\n", *simFlag, *nFlag)
 	fmt.Printf("%8s", "GPUs")
@@ -252,71 +193,24 @@ func main() {
 		Tool: "fftbench",
 		Config: map[string]string{
 			"n": fmt.Sprint(*nFlag), "sim": fmt.Sprint(*simFlag),
-			"gpus": *gpusFlag, "iters": fmt.Sprint(*iters), "configs": *configsFlag,
+			"iters": fmt.Sprint(*iters), "configs": *configsFlag,
 		},
 	}
-	if *faultsFlag != 0 {
-		artifact.Config["faults"] = fmt.Sprint(*faultsFlag)
-	}
-	if *recoverFlag {
-		artifact.Config["recover"] = "1"
-	}
-	if *shrinkFlag {
-		// Shrink provenance: rows of this artifact may have finished on a
-		// degraded (smaller) topology; benchdiff refuses to compare such
-		// rows against full-size baselines.
-		artifact.Config["shrink"] = "1"
-	}
-	if tuning {
-		artifact.Config["tunetol"] = fmt.Sprint(*tuneTolFlag)
-		if *autotuneFlag {
-			artifact.Config["autotune"] = "1"
-		}
-	}
+	d.Provenance(artifact.Config)
 	// One recorder per (config, GPU-count) cell; recorders keeps the last
 	// measured row's recorder per config for the post-table summaries.
 	recorders := make([]*obs.Recorder, len(configs))
-	var lastRec *obs.Recorder
-	var lastCell string
-	for _, gs := range strings.Split(*gpusFlag, ",") {
-		g, err := strconv.Atoi(strings.TrimSpace(gs))
-		if err != nil || g%6 != 0 {
-			fmt.Fprintf(os.Stderr, "fftbench: skipping invalid GPU count %q\n", gs)
-			continue
-		}
-		machine := netsim.Summit(g / 6)
-		machine.Parallel = *parallelFlag
-		if *faultsFlag != 0 {
-			machine.Faults = netsim.RandomPlan(*faultsFlag)
-		}
-		// Resolve this machine's tuned cell: compute it (-autotune) or
-		// look it up in the loaded plan. The tuner strips the fault plan
-		// itself, so the cell is identical with or without -faults.
+	for _, g := range d.GPUs {
+		machine := d.Machine(g)
 		var tunedCell *tune.Cell
-		if tuning {
-			baseOpts := core.Options{SimScale: simScale}
-			if *autotuneFlag {
-				cell, terr := tune.FFT[complex128](machine, n, baseOpts,
-					tune.Space{Budget: *tuneTolFlag, ProbeTopK: *tuneProbeFlag})
-				if terr != nil {
-					fmt.Fprintln(os.Stderr, "fftbench:", terr)
-					os.Exit(1)
-				}
-				tunedCell = cell
-				if _, dup := planOut.Cell(cell.Machine, cell.Shape); !dup {
-					planOut.Cells = append(planOut.Cells, *cell)
-				}
-			} else {
-				cell, ok := planIn.Cell(tune.Fingerprint(machine), tune.FFTShape(n, simScale, false, false))
-				if !ok {
-					fmt.Fprintf(os.Stderr, "fftbench: %s holds no cell for this machine/shape (%d GPUs)\n", *tunePlanFlag, g)
-					os.Exit(1)
-				}
-				tunedCell = cell
-			}
+		if d.Tuning() {
+			tunedCell = d.TunedCell(machine, tune.FFTShape(n, simScale, false, false),
+				func(m netsim.Config, sp tune.Space) (*tune.Cell, error) {
+					return tune.FFT[complex128](m, n, core.Options{SimScale: simScale}, sp)
+				})
 			fmt.Printf("# tuned @ %d GPUs:", g)
 			for _, st := range tunedCell.Stages {
-				fmt.Printf(" %s=%s", st.Label, describeChoice(st))
+				fmt.Printf(" %s=%s", st.Label, driver.DescribeChoice(st))
 			}
 			fmt.Println()
 		}
@@ -325,35 +219,13 @@ func main() {
 			if c.name == "tuned" {
 				c.opts = core.Options{Tune: tunedCell}
 			}
-			rec := obs.New(obs.Options{Trace: recording, Metrics: true})
 			cell := fmt.Sprintf("%s/%dgpus", c.name, g)
-			tel.StartRun(cell)
-			tel.Attach(rec)
-			var res core.Result
-			if *recoverFlag {
-				var out recov.Outcome
-				var rerr error
-				res, out, rerr = c.runRecoverable(rec, machine, n, *iters, simScale,
-					recov.Policy{Seed: *faultsFlag, Shrink: *shrinkFlag})
-				if rerr != nil {
-					fmt.Fprintf(os.Stderr, "fftbench: %s: %v\n", cell, rerr)
-					os.Exit(1)
-				}
-				if len(out.Recoveries) > 0 {
-					fmt.Fprintf(os.Stderr, "# %s: recovered %d crash(es), MTTR %.3gs\n", cell, len(out.Recoveries), out.MTTRSeconds)
-				}
-				for _, sh := range out.Shrinks {
-					fmt.Fprintf(os.Stderr, "# %s: SHRUNK %d->%d ranks (lost %v) at t=%.3gs — degraded topology, not comparable to full-size rows\n",
-						cell, sh.FromSize, sh.ToSize, sh.Dead, sh.DetectT)
-				}
-			} else {
-				res = c.run(rec, machine, n, *iters, simScale)
-			}
+			rec := d.Recorder(cell, fmt.Sprintf("%s @ %d GPUs", c.name, g))
+			res, out, err := c.run(core.Job{Machine: machine, N: n, Iters: *iters, Recorder: rec, Recovery: d.Policy()}, simScale)
+			d.CheckRun(cell, out, err)
 			gflops[i] = res.Gflops
 			recorders[i] = rec
-			lastRec = rec
-			lastCell = fmt.Sprintf("%s @ %d GPUs", c.name, g)
-			if *jsonFlag != "" {
+			if d.JSON != "" {
 				prec := 64
 				if c.fp32 {
 					prec = 32
@@ -363,7 +235,7 @@ func main() {
 					Seconds: res.ForwardTime, Gflops: res.Gflops,
 					Compression: analyze.CompressionRows(rec.Metrics().CompressionStats()),
 					Faults:      analyze.FaultRowFrom(rec.Metrics()),
-					Errors:      analyze.ErrorRows(tel.Tracker(), cell),
+					Errors:      analyze.ErrorRows(d.Tel.Tracker(), cell),
 				}
 				if c.name == "tuned" {
 					// Tuned rows carry the decision record instead of the
@@ -405,50 +277,10 @@ func main() {
 		fmt.Println()
 	}
 
-	if *metricsFlag && lastRec != nil {
-		fmt.Printf("\n# metrics report — %s\n", lastCell)
-		lastRec.WriteReport(os.Stdout)
-	}
-	if *traceFlag != "" && lastRec != nil {
-		f, err := os.Create(*traceFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fftbench:", err)
-			os.Exit(1)
-		}
-		if err := lastRec.WriteChromeTrace(f); err == nil {
-			err = f.Close()
-		} else {
-			f.Close()
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fftbench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("# trace written: %s (%s) — open in chrome://tracing or ui.perfetto.dev\n", *traceFlag, lastCell)
-	}
-	if *jsonFlag != "" {
-		if err := artifact.WriteFile(*jsonFlag); err != nil {
-			fmt.Fprintln(os.Stderr, "fftbench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("# bench artifact written: %s (%d rows)\n", *jsonFlag, len(artifact.Rows))
-	}
-	if *autotuneFlag && *tunePlanFlag != "" {
-		if err := planOut.Save(*tunePlanFlag); err != nil {
-			fmt.Fprintln(os.Stderr, "fftbench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("# tune plan written: %s (%d cells)\n", *tunePlanFlag, len(planOut.Cells))
-	}
+	d.Finish(artifact)
 	if *doPlot {
 		fmt.Println()
 		fmt.Print(plot.Chart("Gflop/s vs GPUs (log scale)", labels, series, 60, 14, true))
 	}
-	if tel.Enabled() {
-		fmt.Println(tel.Summary())
-		if err := tel.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "fftbench: telemetry:", err)
-			os.Exit(1)
-		}
-	}
+	d.Close()
 }

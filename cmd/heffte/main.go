@@ -13,15 +13,12 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 
+	"repro/cmd/internal/driver"
 	"repro/internal/compress"
 	"repro/internal/core"
-	"repro/internal/netsim"
-	"repro/internal/obs"
-	"repro/internal/obs/telemetry"
 )
 
 func parseMethod(s string) (compress.Method, error) {
@@ -56,32 +53,21 @@ func parseMethod(s string) (compress.Method, error) {
 
 func main() {
 	nFlag := flag.Int("n", 64, "cubic problem size per dimension")
-	gpus := flag.Int("gpus", 24, "GPU count (multiple of 6)")
 	backend := flag.String("backend", "osc+compression", "alltoallv | osc | osc+compression")
 	methodFlag := flag.String("method", "fp32", "compression method (compressed backend)")
 	etol := flag.Float64("etol", 0, "error tolerance e_tol (overrides -method when > 0)")
 	simFlag := flag.Int("sim", 0, "simulated problem size per dimension (0 = same as -n)")
 	iters := flag.Int("iters", 2, "measured iterations")
 	fp32 := flag.Bool("fp32", false, "run the full FP32 pipeline instead of FP64")
-	traceFlag := flag.String("trace", "", "write a Chrome-trace JSON of the run to this file")
-	metricsFlag := flag.Bool("metrics", false, "print the phase-breakdown/metrics report")
-	parallelFlag := flag.Bool("parallel", false, "run the simulator's parallel engine (bit-identical results; docs/DETERMINISM.md)")
-	tf := telemetry.RegisterFlags(nil)
-	flag.Parse()
+	d := driver.New("heffte", nil)
+	d.GPUCountFlag("24")
+	d.ObsFlags("write a Chrome-trace JSON of the run to this file", "print the phase-breakdown/metrics report")
+	d.ParallelFlag("run the simulator's parallel engine (bit-identical results; docs/DETERMINISM.md)")
+	d.ServeNote = "telemetry      : serving http://%s\n"
+	d.TraceNote = "trace written  : %[1]s (chrome://tracing / ui.perfetto.dev)\n"
+	d.Parse()
 
-	tel, err := tf.Start()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "heffte:", err)
-		os.Exit(1)
-	}
-	if tel.Enabled() && tel.Addr() != "" {
-		fmt.Printf("telemetry      : serving http://%s\n", tel.Addr())
-	}
-
-	if *gpus%6 != 0 {
-		fmt.Fprintln(os.Stderr, "heffte: -gpus must be a multiple of 6")
-		os.Exit(1)
-	}
+	gpus := d.GPUs[0]
 	n := [3]int{*nFlag, *nFlag, *nFlag}
 	opts := core.Options{}
 	switch *backend {
@@ -92,8 +78,7 @@ func main() {
 	case "osc+compression":
 		opts.Backend = core.BackendCompressed
 	default:
-		fmt.Fprintf(os.Stderr, "heffte: unknown backend %q\n", *backend)
-		os.Exit(1)
+		d.Fail(fmt.Errorf("unknown backend %q", *backend))
 	}
 	if opts.Backend == core.BackendCompressed {
 		if *etol > 0 {
@@ -101,34 +86,28 @@ func main() {
 		} else {
 			m, err := parseMethod(*methodFlag)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "heffte:", err)
-				os.Exit(1)
+				d.Fail(err)
 			}
 			opts.Method = m
 		}
 	}
 	if *simFlag > 0 {
 		if *simFlag%*nFlag != 0 {
-			fmt.Fprintln(os.Stderr, "heffte: -sim must be a multiple of -n")
-			os.Exit(1)
+			d.Fail(fmt.Errorf("-sim must be a multiple of -n"))
 		}
 		opts.SimScale = *simFlag / *nFlag
 	}
 
-	cfg := netsim.Summit(*gpus / 6)
-	cfg.Parallel = *parallelFlag
-	rec := obs.New(obs.Options{Trace: *traceFlag != "", Metrics: true})
-	tel.StartRun(fmt.Sprintf("%s/%dgpus", *backend, *gpus))
-	tel.Attach(rec)
+	rec := d.Recorder(fmt.Sprintf("%s/%dgpus", *backend, gpus), "")
+	job := core.Job{Machine: d.Machine(gpus), N: n, Options: opts, Iters: *iters, WantErr: true, Recorder: rec}
 	var r core.Result
 	if *fp32 {
 		if opts.Backend == core.BackendCompressed {
-			fmt.Fprintln(os.Stderr, "heffte: the compressed backend requires the FP64 pipeline")
-			os.Exit(1)
+			d.Fail(fmt.Errorf("the compressed backend requires the FP64 pipeline"))
 		}
-		r = core.MeasureWith[complex64](rec, cfg, n, opts, *iters, true)
+		r, _, _ = core.Run[complex64](job)
 	} else {
-		r = core.MeasureWith[complex128](rec, cfg, n, opts, *iters, true)
+		r, _, _ = core.Run[complex128](job)
 	}
 
 	simN := *nFlag
@@ -136,7 +115,7 @@ func main() {
 		simN = *nFlag * opts.SimScale
 	}
 	fmt.Printf("problem        : %d^3 (timed as %d^3)\n", *nFlag, simN)
-	fmt.Printf("GPUs           : %d (%d nodes)\n", *gpus, *gpus/6)
+	fmt.Printf("GPUs           : %d (%d nodes)\n", gpus, gpus/6)
 	fmt.Printf("backend        : %s\n", *backend)
 	if opts.Backend == core.BackendCompressed {
 		m := opts.Method
@@ -173,32 +152,6 @@ func main() {
 			100*pr.Exchange/pr.Total(), 100*pr.FFT/pr.Total(),
 			100*pr.Pack/pr.Total(), 100*pr.Unpack/pr.Total())
 	}
-	if *metricsFlag {
-		fmt.Println()
-		rec.WriteReport(os.Stdout)
-	}
-	if *traceFlag != "" {
-		f, err := os.Create(*traceFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "heffte:", err)
-			os.Exit(1)
-		}
-		if err := rec.WriteChromeTrace(f); err == nil {
-			err = f.Close()
-		} else {
-			f.Close()
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "heffte:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("trace written  : %s (chrome://tracing / ui.perfetto.dev)\n", *traceFlag)
-	}
-	if tel.Enabled() {
-		fmt.Println(tel.Summary())
-		if err := tel.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "heffte: telemetry:", err)
-			os.Exit(1)
-		}
-	}
+	d.Finish(nil)
+	d.Close()
 }

@@ -10,7 +10,14 @@ import (
 	"repro/internal/grid"
 	"repro/internal/mpi"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 )
+
+// recorded measures one timed forward transform with rec attached.
+func recorded(rec *obs.Recorder, cfg netsim.Config, n [3]int, opts Options, wantErr bool) Result {
+	res, _, _ := Run[complex128](Job{Machine: cfg, N: n, Options: opts, Iters: 1, WantErr: wantErr, Recorder: rec})
+	return res
+}
 
 func machine(ranks int) netsim.Config {
 	if ranks%6 == 0 {

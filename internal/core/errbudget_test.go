@@ -20,7 +20,7 @@ func measureTracked(t *testing.T, cfg netsim.Config, opts Options) errtrack.Repo
 	trk := errtrack.New()
 	log.Observe(trk.Observe)
 	rec.SetEventLog(log)
-	res := MeasureWith[complex128](rec, cfg, [3]int{16, 16, 16}, opts, 1, false)
+	res := recorded(rec, cfg, [3]int{16, 16, 16}, opts, false)
 	if res.ForwardTime <= 0 {
 		t.Fatalf("forward time = %v", res.ForwardTime)
 	}
@@ -119,7 +119,7 @@ func TestErrtrackZeroCostWhenOff(t *testing.T) {
 		trk := errtrack.New()
 		log.Observe(trk.Observe)
 		rec.SetEventLog(log)
-		on := MeasureWith[complex128](rec, cfg, n, opts, 1, true)
+		on := recorded(rec, cfg, n, opts, true)
 
 		if off.ForwardTime != on.ForwardTime || off.Gflops != on.Gflops {
 			t.Errorf("parallel=%v: tracked run shifted virtual time: off %v/%v on %v/%v",

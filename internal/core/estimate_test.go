@@ -78,7 +78,7 @@ func TestPredictExchangesLowerBound(t *testing.T) {
 	n := [3]int{16, 16, 16}
 	opts := Options{Backend: BackendCompressed, Method: compress.Cast32{}}
 	rec := obs.New(obs.Options{Trace: true, Metrics: true})
-	MeasureWith[complex128](rec, cfg, n, opts, 1, false)
+	recorded(rec, cfg, n, opts, false)
 	preds := PredictExchanges(cfg, n, opts, 16)
 	if len(preds) != 4 {
 		t.Fatalf("got %d reshape estimates, want 4", len(preds))

@@ -17,7 +17,7 @@ import (
 func TestObservedPhaseBreakdown(t *testing.T) {
 	rec := obs.New(obs.Options{Trace: true, Metrics: true})
 	opts := Options{Backend: BackendCompressed, Method: compress.Cast32{}}
-	res := MeasureWith[complex128](rec, machine(12), [3]int{16, 16, 16}, opts, 1, false)
+	res := recorded(rec, machine(12), [3]int{16, 16, 16}, opts, false)
 	if res.ForwardTime <= 0 {
 		t.Fatalf("forward time = %v", res.ForwardTime)
 	}
@@ -93,7 +93,7 @@ func TestRecordingDoesNotPerturbTiming(t *testing.T) {
 	n := [3]int{16, 16, 16}
 	plain := Measure[complex128](machine(12), n, opts, 1, false)
 	rec := obs.New(obs.Options{Trace: true, Metrics: true})
-	traced := MeasureWith[complex128](rec, machine(12), n, opts, 1, false)
+	traced := recorded(rec, machine(12), n, opts, false)
 	if plain.ForwardTime != traced.ForwardTime {
 		t.Errorf("recording changed timing: %v vs %v", plain.ForwardTime, traced.ForwardTime)
 	}

@@ -2,6 +2,7 @@ package exchange
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/compress"
 	"repro/internal/gpu"
@@ -25,14 +26,18 @@ const (
 )
 
 // Spec parameterizes the bandwidth harness beyond the named algorithm
-// presets: the compressed algorithm's method and pipeline depth become
-// selectable (the autotuner's winners need both). The zero Method /
-// Chunks keep the presets' fixed configuration (Cast32, 4 chunks), so
-// Spec{Algo: a} behaves exactly like the plain algorithm string.
+// presets: the compressed algorithm's method, pipeline depth and overlap
+// become selectable (the autotuner's winners and the ablations need
+// them). The zero Method / Chunks / DisablePipeline keep the presets'
+// fixed configuration (Cast32, 4 chunks, pipelined), so Spec{Algo: a}
+// behaves exactly like the plain algorithm string.
 type Spec struct {
 	Algo   string
 	Method compress.Method // AlgoOSCComp only; nil selects Cast32
 	Chunks int             // AlgoOSCComp only; 0 selects 4
+	// DisablePipeline synchronizes the compression stream before any put
+	// (AlgoOSCComp only; the §V-B ablation baseline).
+	DisablePipeline bool
 }
 
 func (s Spec) withDefaults() Spec {
@@ -45,104 +50,57 @@ func (s Spec) withDefaults() Spec {
 	return s
 }
 
-// NodeBandwidth runs a uniform all-to-all (msgBytes per pair, phantom
-// payloads) iters times on the machine and returns the average node
-// bandwidth in bytes/s — the Fig. 3 metric: total bytes sent divided by
-// the exchange time and the node count. Setup (window creation, warmup
-// iteration) is excluded from the measured window.
+// Job is one all-to-all measurement: Spec's exchange of MsgBytes per
+// process pair on Machine (phantom payloads, except AlgoOSCComp which
+// compresses real ones).
+type Job struct {
+	Machine  netsim.Config
+	Spec     Spec
+	MsgBytes int
+	// Iters timed exchanges follow one untimed warmup.
+	Iters int
+	// Recorder, when non-nil, receives the run's spans, wire events and
+	// metrics; it never changes the measured virtual times.
+	Recorder *obs.Recorder
+	// Recovery, when non-nil, runs the job under the crash-recovery
+	// runtime (docs/ROBUSTNESS.md): every iteration ends with an epoch
+	// checkpoint carrying the exchange's healing ledger, and on a
+	// watchdog crash verdict the controller rolls back, respawns, and
+	// resumes the sweep instead of failing it.
+	Recovery *recov.Policy
+}
+
+// Result is one measured exchange. A field the job did not measure (no
+// iteration was timed) is NaN.
+type Result struct {
+	// NodeBW is the Fig. 3 metric in bytes/s: total bytes sent divided
+	// by the exchange time and the node count.
+	NodeBW float64
+	// Seconds is the virtual time of one exchange.
+	Seconds float64
+}
+
+// NodeBandwidth runs a uniform all-to-all (msgBytes per pair) iters
+// times on the machine and returns the average node bandwidth in
+// bytes/s. Setup (window creation, warmup iteration) is excluded from
+// the measured window.
 func NodeBandwidth(cfg netsim.Config, algo string, msgBytes, iters int) float64 {
-	return NodeBandwidthWith(nil, cfg, algo, msgBytes, iters)
+	res, _, _ := Run(Job{Machine: cfg, Spec: Spec{Algo: algo}, MsgBytes: msgBytes, Iters: iters})
+	return res.NodeBW
 }
 
-// NodeBandwidthWith is NodeBandwidth with an observability recorder
-// attached to the run (nil behaves exactly like NodeBandwidth).
-func NodeBandwidthWith(rec *obs.Recorder, cfg netsim.Config, algo string, msgBytes, iters int) float64 {
-	return NodeBandwidthSpec(rec, cfg, Spec{Algo: algo}, msgBytes, iters)
-}
-
-// NodeBandwidthSpec is NodeBandwidthWith over a full Spec.
-func NodeBandwidthSpec(rec *obs.Recorder, cfg netsim.Config, spec Spec, msgBytes, iters int) float64 {
-	spec = spec.withDefaults()
-	algo := spec.Algo
-	p := cfg.Ranks()
-	var start, end float64
-	mpi.RunWith(cfg, rec, func(c *mpi.Comm) {
-		sizes := make([]int, p)
-		for i := range sizes {
-			sizes[i] = msgBytes
-		}
-		var osc *OSC
-		var cosc *CompressedOSC
-		var send [][]float64
-		switch algo {
-		case AlgoOSC:
-			osc = NewOSCPhantom(c, Uniform(msgBytes), true)
-		case AlgoOSCNaive:
-			osc = NewOSCPhantom(c, Uniform(msgBytes), false)
-		case AlgoOSCComp:
-			count := msgBytes / 8
-			if count < 1 {
-				count = 1
-			}
-			stream := gpu.NewStream(gpu.V100(), c)
-			stream.SetObserver(c.Obs())
-			cosc = NewCompressedOSC(c, spec.Method, stream, spec.Chunks, UniformCount(count))
-			cosc.SetLabel("bench")
-			send = benchPayload(c.Rank(), p, count)
-		}
-		run := func() {
-			switch algo {
-			case AlgoLinear:
-				LinearAlltoallvN(c, sizes)
-			case AlgoPairwise:
-				PairwiseAlltoallvN(c, sizes)
-			case AlgoBruck:
-				BruckAlltoallN(c, msgBytes)
-			case AlgoOSC, AlgoOSCNaive:
-				osc.ExchangeN()
-			case AlgoOSCComp:
-				cosc.Exchange(send)
-			default:
-				panic(fmt.Sprintf("exchange: unknown algorithm %q", algo))
-			}
-		}
-		run() // warmup
-		c.Barrier()
-		t0 := c.AllreduceFloat64("min", c.Now())
-		for i := 0; i < iters; i++ {
-			run()
-		}
-		c.Barrier()
-		t1 := c.AllreduceFloat64("max", c.Now())
-		if c.Rank() == 0 {
-			start, end = t0, t1
-		}
-	})
-	total := float64(iters) * float64(p) * float64(p) * float64(msgBytes)
-	return total / (end - start) / float64(cfg.Nodes)
-}
-
-// NodeBandwidthRecoverable is NodeBandwidthWith under the crash-recovery
-// runtime (docs/ROBUSTNESS.md): every iteration ends with an epoch
-// checkpoint carrying the exchange's healing ledger, and on a watchdog
-// crash verdict the controller rolls back, respawns, and resumes the
-// sweep instead of failing it. The bandwidth is computed over the
-// iterations the final attempt actually executed (replayed iterations
-// are restored, not re-run), so a recovered measurement stays
-// well-defined.
-func NodeBandwidthRecoverable(rec *obs.Recorder, cfg netsim.Config, algo string, msgBytes, iters int, pol recov.Policy) (float64, recov.Outcome, error) {
-	return NodeBandwidthRecoverableSpec(rec, cfg, Spec{Algo: algo}, msgBytes, iters, pol)
-}
-
-// NodeBandwidthRecoverableSpec is NodeBandwidthRecoverable over a full
-// Spec.
-func NodeBandwidthRecoverableSpec(rec *obs.Recorder, cfg netsim.Config, spec Spec, msgBytes, iters int, pol recov.Policy) (float64, recov.Outcome, error) {
-	spec = spec.withDefaults()
-	algo := spec.Algo
+// Run executes the job. Under a Recovery policy the result is computed
+// over the iterations the final attempt actually executed (replayed
+// iterations are restored, not re-run), so a recovered measurement
+// stays well-defined; the outcome reports the attempts and recovery
+// timeline, and err is non-nil when the restart budget is exhausted or
+// the run failed for a reason that is not a crash.
+func Run(job Job) (Result, recov.Outcome, error) {
+	spec := job.Spec.withDefaults()
+	algo, msgBytes := spec.Algo, job.MsgBytes
 	var start, end float64
 	var performed, pFinal int
-	ct := &recov.Controller{Policy: pol}
-	out, err := ct.Run(cfg, rec, func(c *mpi.Comm, rk *recov.Rank) {
+	body := func(c *mpi.Comm, rk *recov.Rank) {
 		// After an elastic shrink the communicator is smaller than the
 		// machine; everything below sizes itself off the live membership.
 		p := c.Size()
@@ -167,6 +125,7 @@ func NodeBandwidthRecoverableSpec(rec *obs.Recorder, cfg netsim.Config, spec Spe
 			stream.SetObserver(c.Obs())
 			cosc = NewCompressedOSC(c, spec.Method, stream, spec.Chunks, UniformCount(count))
 			cosc.SetLabel("bench")
+			cosc.Pipelined = !spec.DisablePipeline
 			send = benchPayload(c.Rank(), p, count)
 		}
 		run := func() {
@@ -187,9 +146,10 @@ func NodeBandwidthRecoverableSpec(rec *obs.Recorder, cfg netsim.Config, spec Spe
 		}
 		// One iteration = one recovery epoch: epochs the committed
 		// checkpoint covers are skipped (their ledger state is restored),
-		// the rest execute and checkpoint. myPerformed is rank-local (the
-		// bodies run concurrently under the parallel engine); rank 0
-		// publishes it after the closing barrier.
+		// the rest execute and checkpoint. Without a policy rk is nil and
+		// every step just runs. myPerformed is rank-local (the bodies run
+		// concurrently under the parallel engine); rank 0 publishes it
+		// after the closing barrier.
 		epoch, myPerformed := 0, 0
 		step := func(measured bool) {
 			epoch++
@@ -221,16 +181,18 @@ func NodeBandwidthRecoverableSpec(rec *obs.Recorder, cfg netsim.Config, spec Spe
 			if measured {
 				myPerformed++
 			}
-			var snap []byte
-			if cosc != nil {
-				snap = cosc.LedgerState()
+			if rk != nil {
+				var snap []byte
+				if cosc != nil {
+					snap = cosc.LedgerState()
+				}
+				rk.Checkpoint(epoch, snap)
 			}
-			rk.Checkpoint(epoch, snap)
 		}
 		step(false) // warmup
 		c.Barrier()
 		t0 := c.AllreduceFloat64("min", c.Now())
-		for i := 0; i < iters; i++ {
+		for i := 0; i < job.Iters; i++ {
 			step(true)
 		}
 		c.Barrier()
@@ -240,19 +202,30 @@ func NodeBandwidthRecoverableSpec(rec *obs.Recorder, cfg netsim.Config, spec Spe
 			performed = myPerformed
 			pFinal = p
 		}
-	})
-	if err != nil {
-		return 0, out, err
+	}
+	var out recov.Outcome
+	if job.Recovery == nil {
+		out.Result = mpi.RunWith(job.Machine, job.Recorder, func(c *mpi.Comm) { body(c, nil) })
+	} else {
+		ct := &recov.Controller{Policy: *job.Recovery}
+		var err error
+		if out, err = ct.Run(job.Machine, job.Recorder, body); err != nil {
+			return Result{NodeBW: math.NaN(), Seconds: math.NaN()}, out, err
+		}
 	}
 	if performed == 0 || end <= start {
-		return 0, out, nil
+		return Result{NodeBW: math.NaN(), Seconds: math.NaN()}, out, nil
 	}
 	// Every measured iteration of the final attempt ran at that attempt's
 	// membership size (replays are restored, not re-run), so the byte
 	// total uses the final comm size — after a shrink that is smaller
 	// than the machine, and the outcome records the degradation.
 	total := float64(performed) * float64(pFinal) * float64(pFinal) * float64(msgBytes)
-	return total / (end - start) / float64(cfg.Nodes), out, nil
+	elapsed := end - start
+	return Result{
+		NodeBW:  total / elapsed / float64(job.Machine.Nodes),
+		Seconds: elapsed / float64(performed),
+	}, out, nil
 }
 
 // benchPayload builds deterministic pseudo-data in (-1, 1) for every
@@ -266,38 +239,4 @@ func benchPayload(rank, p, count int) [][]float64 {
 		}
 	}
 	return send
-}
-
-// CompressedExchangeTime measures one compressed OSC exchange of count
-// float64 values per pair on real random-like data and returns the
-// exchange time (excluding construction and warmup).
-func CompressedExchangeTime(cfg netsim.Config, method compress.Method, chunks, count, iters int, pipelined bool) float64 {
-	return CompressedExchangeTimeWith(nil, cfg, method, chunks, count, iters, pipelined)
-}
-
-// CompressedExchangeTimeWith is CompressedExchangeTime with an
-// observability recorder attached to the run (nil behaves exactly like
-// CompressedExchangeTime).
-func CompressedExchangeTimeWith(rec *obs.Recorder, cfg netsim.Config, method compress.Method, chunks, count, iters int, pipelined bool) float64 {
-	p := cfg.Ranks()
-	var start, end float64
-	mpi.RunWith(cfg, rec, func(c *mpi.Comm) {
-		stream := gpu.NewStream(gpu.V100(), c)
-		stream.SetObserver(c.Obs())
-		x := NewCompressedOSC(c, method, stream, chunks, UniformCount(count))
-		x.Pipelined = pipelined
-		send := benchPayload(c.Rank(), p, count)
-		x.Exchange(send) // warmup
-		c.Barrier()
-		t0 := c.AllreduceFloat64("min", c.Now())
-		for i := 0; i < iters; i++ {
-			x.Exchange(send)
-		}
-		c.Barrier()
-		t1 := c.AllreduceFloat64("max", c.Now())
-		if c.Rank() == 0 {
-			start, end = t0, t1
-		}
-	})
-	return (end - start) / float64(iters)
 }

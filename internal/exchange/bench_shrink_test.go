@@ -20,17 +20,20 @@ func TestBandwidthHarnessShrinks(t *testing.T) {
 	// Time the kill past the first measured iteration so a committed
 	// epoch exists and the migrate branch of the restore path runs.
 	clean := netsim.Summit(1)
-	base, _, err := exchange.NodeBandwidthRecoverableSpec(nil, clean,
-		exchange.Spec{Algo: exchange.AlgoOSCComp}, msg, iters, recov.Policy{})
+	job := exchange.Job{Machine: clean, Spec: exchange.Spec{Algo: exchange.AlgoOSCComp},
+		MsgBytes: msg, Iters: iters, Recovery: &recov.Policy{}}
+	res, _, err := exchange.Run(job)
+	base := res.NodeBW
 	if err != nil || base <= 0 {
 		t.Fatalf("clean run failed: bw=%g err=%v", base, err)
 	}
 	cleanTime := float64(iters*2) * float64(cfg.Ranks()) * float64(cfg.Ranks()) * float64(msg) / base / float64(cfg.Nodes)
 	cfg.Faults = &netsim.FaultPlan{Seed: 91, KillRank: 2, KillAt: cleanTime / 4}
 
-	bw, out, err := exchange.NodeBandwidthRecoverableSpec(nil, cfg,
-		exchange.Spec{Algo: exchange.AlgoOSCComp}, msg, iters,
-		recov.Policy{MaxRestarts: 1, Shrink: true})
+	job.Machine = cfg
+	job.Recovery = &recov.Policy{MaxRestarts: 1, Shrink: true}
+	res, out, err := exchange.Run(job)
+	bw := res.NodeBW
 	if err != nil {
 		t.Fatalf("shrunken run failed: %v", err)
 	}
@@ -49,9 +52,8 @@ func TestBandwidthHarnessShrinks(t *testing.T) {
 	}
 
 	// Shrink off: same kill must still surface the historic give-up.
-	_, _, err = exchange.NodeBandwidthRecoverableSpec(nil, cfg,
-		exchange.Spec{Algo: exchange.AlgoOSCComp}, msg, iters,
-		recov.Policy{MaxRestarts: 1})
+	job.Recovery = &recov.Policy{MaxRestarts: 1}
+	_, _, err = exchange.Run(job)
 	var ur *recov.UnrecoverableError
 	if err == nil {
 		t.Fatal("kill with Shrink off did not fail")

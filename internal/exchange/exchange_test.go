@@ -211,11 +211,18 @@ func TestCompressedOSCVariableRate(t *testing.T) {
 	})
 }
 
+// exchangeSeconds times two compressed exchanges of count float64
+// values per pair and returns the seconds of one.
+func exchangeSeconds(cfg netsim.Config, spec Spec, count int) float64 {
+	res, _, _ := Run(Job{Machine: cfg, Spec: spec, MsgBytes: 8 * count, Iters: 2})
+	return res.Seconds
+}
+
 func TestCompressedFasterThanUncompressedOSC(t *testing.T) {
 	cfg := machine(4) // 24 ranks: communication-dominated
 	count := 10000    // 80 KB per pair
-	tNone := CompressedExchangeTime(cfg, compress.None{}, 4, count, 2, true)
-	tCast := CompressedExchangeTime(cfg, compress.Cast32{}, 4, count, 2, true)
+	tNone := exchangeSeconds(cfg, Spec{Algo: AlgoOSCComp, Method: compress.None{}}, count)
+	tCast := exchangeSeconds(cfg, Spec{Algo: AlgoOSCComp, Method: compress.Cast32{}}, count)
 	if tCast >= tNone {
 		t.Errorf("compression not faster: FP32 %.3g vs FP64 %.3g", tCast, tNone)
 	}
@@ -230,8 +237,8 @@ func TestCompressedFasterThanUncompressedOSC(t *testing.T) {
 func TestPipelineBeatsSynchronousCompression(t *testing.T) {
 	cfg := machine(2)
 	count := 20000
-	tPipe := CompressedExchangeTime(cfg, compress.Cast32{}, 8, count, 2, true)
-	tSync := CompressedExchangeTime(cfg, compress.Cast32{}, 8, count, 2, false)
+	tPipe := exchangeSeconds(cfg, Spec{Algo: AlgoOSCComp, Chunks: 8}, count)
+	tSync := exchangeSeconds(cfg, Spec{Algo: AlgoOSCComp, Chunks: 8, DisablePipeline: true}, count)
 	if tPipe > tSync*1.02 {
 		t.Errorf("pipelined %.3g slower than synchronous %.3g", tPipe, tSync)
 	}

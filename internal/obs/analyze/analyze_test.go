@@ -22,7 +22,7 @@ func tracedRun(t *testing.T) *obs.Recorder {
 	t.Helper()
 	rec := obs.New(obs.Options{Trace: true, Metrics: true})
 	opts := core.Options{Backend: core.BackendCompressed, Method: compress.Cast32{}}
-	res := core.MeasureWith[complex128](rec, netsim.Summit(2), [3]int{16, 16, 16}, opts, 1, false)
+	res, _, _ := core.Run[complex128](core.Job{Machine: netsim.Summit(2), N: [3]int{16, 16, 16}, Options: opts, Iters: 1, Recorder: rec})
 	if res.ForwardTime <= 0 {
 		t.Fatalf("forward time = %v", res.ForwardTime)
 	}

@@ -17,12 +17,17 @@ import (
 
 var testN = [3]int{8, 8, 8}
 
+// measure runs two timed forward transforms of testN on cfg under pol.
+func measure(cfg netsim.Config, opts core.Options, wantErr bool, pol recov.Policy) (core.Result, recov.Outcome, error) {
+	return core.Run[complex128](core.Job{Machine: cfg, N: testN, Options: opts, Iters: 2, WantErr: wantErr, Recovery: &pol})
+}
+
 // baselineTime measures the crash-free duration of the recoverable
 // workload, used to aim crashes at the middle of the run.
 func baselineTime(t *testing.T, opts core.Options) float64 {
 	t.Helper()
 	cfg := netsim.Summit(1)
-	_, out, err := core.MeasureRecoverable[complex128](nil, cfg, testN, opts, 2, true, recov.Policy{})
+	_, out, err := measure(cfg, opts, true, recov.Policy{})
 	if err != nil {
 		t.Fatalf("baseline run failed: %v", err)
 	}
@@ -38,7 +43,7 @@ func TestControllerRecoversMidRunCrash(t *testing.T) {
 
 	cfg := netsim.Summit(1)
 	cfg.Faults = &netsim.FaultPlan{Seed: 21, CrashRank: 3, CrashAt: half}
-	res, out, err := core.MeasureRecoverable[complex128](nil, cfg, testN, opts, 2, true, recov.Policy{})
+	res, out, err := measure(cfg, opts, true, recov.Policy{})
 	if err != nil {
 		t.Fatalf("recovery failed: %v", err)
 	}
@@ -73,7 +78,7 @@ func TestControllerEngineEquivalence(t *testing.T) {
 		cfg.Parallel = parallel
 		cfg.Faults = &netsim.FaultPlan{Seed: 22, CrashRank: 1, CrashAt: half,
 			DropProb: 0.01, SilentCorruptProb: 0.02}
-		res, out, err := core.MeasureRecoverable[complex128](nil, cfg, testN, opts, 2, true, recov.Policy{})
+		res, out, err := measure(cfg, opts, true, recov.Policy{})
 		if err != nil {
 			t.Fatalf("parallel=%v: recovery failed: %v", parallel, err)
 		}
@@ -116,7 +121,7 @@ func TestControllerAbsorbsDoubleFault(t *testing.T) {
 	// crash (same seed, same plan prefix).
 	probeCfg := netsim.Summit(1)
 	probeCfg.Faults = &netsim.FaultPlan{Seed: 23, CrashRank: 2, CrashAt: half}
-	_, probe, err := core.MeasureRecoverable[complex128](nil, probeCfg, testN, opts, 2, true, recov.Policy{})
+	_, probe, err := measure(probeCfg, opts, true, recov.Policy{})
 	if err != nil || len(probe.Recoveries) != 1 {
 		t.Fatalf("probe run: %v, %+v", err, probe)
 	}
@@ -125,7 +130,7 @@ func TestControllerAbsorbsDoubleFault(t *testing.T) {
 	cfg := netsim.Summit(1)
 	cfg.Faults = &netsim.FaultPlan{Seed: 23, CrashRank: 2, CrashAt: half,
 		CrashSchedule: []netsim.CrashSpec{{Rank: 4, At: second}}}
-	res, out, err := core.MeasureRecoverable[complex128](nil, cfg, testN, opts, 2, true, recov.Policy{})
+	res, out, err := measure(cfg, opts, true, recov.Policy{})
 	if err != nil {
 		t.Fatalf("double-fault recovery failed: %v", err)
 	}
@@ -148,7 +153,7 @@ func TestControllerGivesUpWithTypedDiagnosis(t *testing.T) {
 
 	cfg := netsim.Summit(1)
 	cfg.Faults = &netsim.FaultPlan{Seed: 24, CrashRank: 5, CrashAt: half}
-	_, out, err := core.MeasureRecoverable[complex128](nil, cfg, testN, opts, 2, false, recov.Policy{MaxRestarts: -1})
+	_, out, err := measure(cfg, opts, false, recov.Policy{MaxRestarts: -1})
 	if err == nil {
 		t.Fatal("crash with recovery disabled must fail")
 	}

@@ -28,7 +28,7 @@ func TestShrinkSurvivesPermanentKill(t *testing.T) {
 	cfg := netsim.Summit(1)
 	cfg.Faults = killScenario(t, opts, 31)
 	pol := recov.Policy{MaxRestarts: 1, Shrink: true}
-	res, out, err := core.MeasureRecoverable[complex128](nil, cfg, testN, opts, 2, true, pol)
+	res, out, err := measure(cfg, opts, true, pol)
 	if err != nil {
 		t.Fatalf("shrink recovery failed: %v", err)
 	}
@@ -75,8 +75,7 @@ func TestShrinkMigratedStateMatchesFreshRun(t *testing.T) {
 	opts := core.Options{Backend: core.BackendOSC}
 	cfg := netsim.Summit(1)
 	cfg.Faults = killScenario(t, opts, 32)
-	res, out, err := core.MeasureRecoverable[complex128](nil, cfg, testN, opts, 2, true,
-		recov.Policy{MaxRestarts: 1, Shrink: true})
+	res, out, err := measure(cfg, opts, true, recov.Policy{MaxRestarts: 1, Shrink: true})
 	if err != nil || len(out.Shrinks) != 1 {
 		t.Fatalf("shrink recovery: %v (shrinks %d)", err, len(out.Shrinks))
 	}
@@ -104,8 +103,7 @@ func TestShrinkEngineEquivalence(t *testing.T) {
 		cfg.Parallel = parallel
 		f := *plan
 		cfg.Faults = &f
-		res, out, err := core.MeasureRecoverable[complex128](nil, cfg, testN, opts, 2, true,
-			recov.Policy{MaxRestarts: 1, Shrink: true})
+		res, out, err := measure(cfg, opts, true, recov.Policy{MaxRestarts: 1, Shrink: true})
 		if err != nil {
 			t.Fatalf("parallel=%v: shrink recovery failed: %v", parallel, err)
 		}
@@ -144,8 +142,7 @@ func TestShrinkOffPreservesGiveUp(t *testing.T) {
 	opts := core.Options{Backend: core.BackendOSC}
 	cfg := netsim.Summit(1)
 	cfg.Faults = killScenario(t, opts, 34)
-	_, out, err := core.MeasureRecoverable[complex128](nil, cfg, testN, opts, 2, false,
-		recov.Policy{MaxRestarts: 1})
+	_, out, err := measure(cfg, opts, false, recov.Policy{MaxRestarts: 1})
 	if err == nil {
 		t.Fatal("permanent kill with shrink disabled must fail")
 	}
@@ -169,8 +166,7 @@ func TestShrinkDoubleKill(t *testing.T) {
 	cfg := netsim.Summit(1)
 	cfg.Faults = &netsim.FaultPlan{Seed: 35, KillRank: 3, KillAt: half,
 		CrashSchedule: []netsim.CrashSpec{{Rank: 1, At: half * 1.2, Permanent: true}}}
-	res, out, err := core.MeasureRecoverable[complex128](nil, cfg, testN, opts, 2, true,
-		recov.Policy{MaxRestarts: 1, Shrink: true})
+	res, out, err := measure(cfg, opts, true, recov.Policy{MaxRestarts: 1, Shrink: true})
 	if err != nil {
 		t.Fatalf("double-kill shrink recovery failed: %v", err)
 	}

@@ -73,8 +73,8 @@ func probeAlltoall(cfg netsim.Config, msgBytes int, sp Space, scored []Scored) (
 		}
 		remaining = next
 		spec := candidateSpec(best.Candidate)
-		bw := exchange.NodeBandwidthSpec(nil, cfg, spec, msgBytes, sp.ProbeIters)
-		if bw > 0 {
+		res, _, _ := exchange.Run(exchange.Job{Machine: cfg, Spec: spec, MsgBytes: msgBytes, Iters: sp.ProbeIters})
+		if bw := res.NodeBW; bw > 0 {
 			// NodeBandwidth divides total bytes by time and node count;
 			// invert it back to seconds per measured exchange.
 			best.Probed = total / (bw * float64(cfg.Nodes)) / float64(sp.ProbeIters)

@@ -15,7 +15,8 @@ import (
 )
 
 func exchangeBandwidth(cfg netsim.Config, spec exchange.Spec, msg int) float64 {
-	return exchange.NodeBandwidthSpec(nil, cfg, spec, msg, 1)
+	res, _, _ := exchange.Run(exchange.Job{Machine: cfg, Spec: spec, MsgBytes: msg, Iters: 1})
+	return res.NodeBW
 }
 
 // conformance cells: seeded (machine × count × precision) grid. Each
@@ -171,11 +172,11 @@ func TestConformanceRecoverable(t *testing.T) {
 	run := cfg
 	run.Faults = netsim.RandomPlan(seed)
 	pol := recov.Policy{Seed: seed}
-	ra, oa, err := core.MeasureRecoverable[complex128](nil, run, n, tuned, 1, true, pol)
+	ra, oa, err := core.Run[complex128](core.Job{Machine: run, N: n, Options: tuned, Iters: 1, WantErr: true, Recovery: &pol})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, ob, err := core.MeasureRecoverable[complex128](nil, run, n, fixed, 1, true, pol)
+	rb, ob, err := core.Run[complex128](core.Job{Machine: run, N: n, Options: fixed, Iters: 1, WantErr: true, Recovery: &pol})
 	if err != nil {
 		t.Fatal(err)
 	}

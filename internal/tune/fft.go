@@ -128,8 +128,7 @@ func probeFFT[C fft.Complex](cfg netsim.Config, n [3]int, base core.Options, sp 
 		}
 		remaining = next
 		opts := candidateOptions(base, best.Candidate)
-		res := core.MeasureWith[C](nil, cfg, n, opts, sp.ProbeIters, false)
-		best.Probed = res.ForwardTime
+		best.Probed = core.Measure[C](cfg, n, opts, sp.ProbeIters, false).ForwardTime
 		out = append(out, best)
 	}
 	return append(out, remaining...), nil

@@ -176,7 +176,7 @@ func (c *Cell) FixedOptions(base core.Options) (core.Options, bool) {
 }
 
 // BenchSpec maps a uniform cell's winner onto the bandwidth harness's
-// algorithm space (exchange.NodeBandwidthSpec).
+// algorithm space (exchange.Run).
 func (c *Cell) BenchSpec() (exchange.Spec, error) {
 	if len(c.Stages) == 0 {
 		return exchange.Spec{}, fmt.Errorf("%w: empty cell", ErrPlanInvalid)
